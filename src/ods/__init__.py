@@ -21,9 +21,9 @@ from .drive import (
     DriveParams,
     EffectiveFields,
     RampSchedule,
+    couplings,
     effective_fields,
-    effective_hamiltonian,
-    full_hamiltonian,
+    hamiltonian,
     with_delta_phi,
 )
 from .eigensystem import (
@@ -50,7 +50,6 @@ from .evolver import (
     IntegratorConfig,
     Trajectory,
     evolve,
-    lindblad_rhs,
 )
 from .planner import (
     ProtocolPlan,

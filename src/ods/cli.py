@@ -155,8 +155,8 @@ def cmd_plan(cfg: ExperimentConfig, out_dir: str, verify: bool) -> int:
 
 
 def cmd_fig2(variant: str, cfg: ExperimentConfig, out_dir: str) -> int:
-    params = replace(cfg.drive, omega12={"a": 2.0, "b": 0.2, "c": 0.08}[variant],
-                     omega34={"a": 2.0, "b": 0.2, "c": 0.08}[variant])
+    omega = drive.FIG2_OMEGA[variant]
+    params = replace(cfg.drive, omega12=omega, omega34=omega)
     cfg = replace(cfg, drive=params, run=replace(cfg.run, n_periods=None, t_final=4.0 * params.period))
     traj = _simulate_trajectory(cfg)
     obs = traj.observables()
@@ -173,6 +173,9 @@ def cmd_fig2(variant: str, cfg: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_fig3(cfg: ExperimentConfig, out_dir: str, n_max: int) -> int:
+    # the scan measures the return to |1>; the inset shows its first period
+    if cfg.run.initial_state != "1":
+        raise ValidationError("fig3 scans from |1>; initial_state must be 1")
     scan = planner.fidelity_scan(
         cfg.drive, cfg.rates,
         config=replace(cfg.integrator, method="dop853-adaptive"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .drive import DriveParams, RampSchedule
+from .drive import FRAMES, DriveParams, RampSchedule
 from .errors import ConfigError, ValidationError
 from .evolver import DecoherenceRates, IntegratorConfig
 from .planner import TargetState
@@ -46,8 +46,8 @@ class RunOptions:
     allow_non_ods: bool = False
 
     def __post_init__(self):
-        if self.frame not in ("effective", "full"):
-            raise ValidationError(f"frame must be 'effective' or 'full', got {self.frame!r}")
+        if self.frame not in FRAMES:
+            raise ValidationError(f"frame must be one of {FRAMES}, got {self.frame!r}")
         if self.initial_state not in _INITIAL_STATES:
             raise ValidationError(
                 f"initial_state must be one of {_INITIAL_STATES}, got {self.initial_state!r}"

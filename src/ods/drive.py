@@ -1,4 +1,4 @@
-"""Four-field drive configuration and interaction Hamiltonians.
+"""Four-field drive configuration and the Hamiltonian of each frame.
 
 All frequencies and rates are expressed in units of the excited-state
 coherence decay rate gamma31, times in 1/gamma31, hbar = 1.  The two
@@ -7,6 +7,7 @@ phi1 = phi2 + pi = phi12 and phi3 = phi4 = phi34, so only the pair
 phases are free inputs.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -19,11 +20,20 @@ ODS_TOL = 1e-12
 # D1 line of 87Rb, for converting dimensionless results to SI.
 GAMMA31_RB87_D1 = 36.10e6  # s^-1
 
+FRAMES = ("effective", "full")
+FIG2_OMEGA = {"a": 2.0, "b": 0.2, "c": 0.08}  # Rabi frequency of each published panel
 RAMP_SHAPES = ("linear", "raised-cosine", "instantaneous", "counterintuitive")
 
 # |sin| or |cos| of the beat phase at t_on below which a counter-intuitive
 # upload counts as starting at a node of that pair's beat factor
 PAIR_NODE_TOL = 1e-9
+
+
+def require_finite(**values) -> None:
+    """Raise ValidationError naming the first value that is NaN or infinite; None is skipped."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
 
 
 def to_si_rate(x: float) -> float:
@@ -58,6 +68,7 @@ class DriveParams:
     require_ods: bool = field(default=True, compare=False)
 
     def __post_init__(self):
+        require_finite(**vars(self))
         if self.omega12 < 0 or self.omega34 < 0:
             raise ValidationError("Rabi frequencies must be non-negative")
         if self.require_ods and not self.is_ods_valid:
@@ -133,7 +144,7 @@ class DriveParams:
     @classmethod
     def fig2(cls, variant: str = "a", delta_phi: float = 0.0):
         """The three published drive configurations (delta1=delta3=0.3, delta2=delta4=0.2)."""
-        omega = {"a": 2.0, "b": 0.2, "c": 0.08}.get(variant)
+        omega = FIG2_OMEGA.get(variant)
         if omega is None:
             raise ValidationError(f"unknown variant {variant!r}, expected a, b or c")
         return cls(
@@ -192,6 +203,9 @@ class RampSchedule:
     def __post_init__(self):
         if self.shape not in RAMP_SHAPES:
             raise ValidationError(f"unknown ramp shape {self.shape!r}")
+        require_finite(tau=self.tau, t_on=self.t_on)
+        if math.isnan(self.t_off):
+            raise ValidationError("t_off must not be NaN (+inf keeps the fields on)")
         if self.tau < 0:
             raise ValidationError("ramp duration tau must be >= 0")
         if self.shape == "instantaneous" and self.tau != 0.0:
@@ -273,56 +287,55 @@ class RampSchedule:
         return self._pair_split(params, t, self._envelope_rate(t), 0.0)
 
 
-def envelope(schedule: RampSchedule, t):
-    return schedule.envelope(t)
+def couplings(params: DriveParams, schedule: RampSchedule, t: float, frame: str = "effective"):
+    """(<3|H|1>, <3|H|2>) of the frame's Hamiltonian at time t, each pair scaled by its envelope.
+
+    The effective frame gives P and Q.  The full frame is the explicit
+    four-field sum -1/2 O12 [e^{-i phi1} e^{i delta1 t} + e^{-i phi2} e^{i delta2 t}]
+    and its O34 twin, with phi1 = phi12, phi2 = phi12 - pi, phi3 = phi4 = phi34.
+    """
+    eps_p, eps_q = schedule.pair_envelopes(params, t)
+    if frame == "effective":
+        p = -1j * cmath.exp(-1j * params.phi12) * eps_p * params.omega12 * math.sin(params.delta * t)
+        q = -cmath.exp(-1j * params.phi34) * eps_q * params.omega34 * math.cos(params.delta34 * t)
+        return p, q
+    if frame != "full":
+        raise ValidationError(f"unknown frame {frame!r}, expected one of {FRAMES}")
+    phi1, phi2, phi34 = params.phi12, params.phi12 - math.pi, params.phi34
+    h31 = -0.5 * eps_p * params.omega12 * (
+        cmath.exp(1j * (params.delta1 * t - phi1)) + cmath.exp(1j * (params.delta2 * t - phi2))
+    )
+    h32 = -0.5 * eps_q * params.omega34 * (
+        cmath.exp(1j * (params.delta3 * t - phi34)) + cmath.exp(1j * (params.delta4 * t - phi34))
+    )
+    return h31, h32
+
+
+def frame_detunings(params: DriveParams, frame: str = "effective"):
+    """Constant diagonal of the frame's Hamiltonian: (0, D', D) effective, zero full."""
+    if frame not in FRAMES:
+        raise ValidationError(f"unknown frame {frame!r}, expected one of {FRAMES}")
+    return (0.0, params.big_delta_prime, params.big_delta) if frame == "effective" else (0.0,) * 3
+
+
+def hamiltonian(
+    params: DriveParams, schedule: RampSchedule, t: float, frame: str = "effective"
+) -> np.ndarray:
+    """H on (|1>,|2>,|3>) at time t: frame_detunings on the diagonal, couplings off it.
+
+    The effective frame gives [[0,0,P*],[0,D',Q*],[P,Q,D]]; it differs from
+    the full frame by a diagonal time-dependent phase transformation.
+    """
+    h31, h32 = couplings(params, schedule, t, frame)
+    d1, d2, d3 = frame_detunings(params, frame)
+    return np.array([[d1, 0.0, h31.conjugate()], [0.0, d2, h32.conjugate()], [h31, h32, d3]],
+                    dtype=complex)
 
 
 def effective_fields(params: DriveParams, schedule: RampSchedule, t: float) -> EffectiveFields:
     """Effective couplings P, Q of the rotating-frame Hamiltonian at time t."""
-    eps_p, eps_q = schedule.pair_envelopes(params, t)
-    p = -1j * np.exp(-1j * params.phi12) * eps_p * params.omega12 * np.sin(params.delta * t)
-    q = -np.exp(-1j * params.phi34) * eps_q * params.omega34 * np.cos(params.delta34 * t)
-    return EffectiveFields(complex(p), complex(q), params.big_delta, params.big_delta_prime)
-
-
-def effective_hamiltonian(params: DriveParams, schedule: RampSchedule, t: float) -> np.ndarray:
-    """Rotating-frame Hamiltonian [[0,0,P*],[0,D',Q*],[P,Q,D]] on (|1>,|2>,|3>)."""
-    f = effective_fields(params, schedule, t)
-    return np.array(
-        [
-            [0.0, 0.0, np.conj(f.p)],
-            [0.0, f.big_delta_prime, np.conj(f.q)],
-            [f.p, f.q, f.big_delta],
-        ],
-        dtype=complex,
-    )
-
-
-def full_hamiltonian(params: DriveParams, schedule: RampSchedule, t: float) -> np.ndarray:
-    """Interaction-picture Hamiltonian as the explicit four-field sum.
-
-    H = -1/2 [ O12 e^{-i phi1} e^{i delta1 t} s31 + O12 e^{-i phi2} e^{i delta2 t} s31
-             + O34 e^{-i phi3} e^{i delta3 t} s32 + O34 e^{-i phi4} e^{i delta4 t} s32 ] + h.c.
-    with phi1 = phi12, phi2 = phi12 - pi, phi3 = phi4 = phi34.
-    """
-    eps_p, eps_q = schedule.pair_envelopes(params, t)
-    phi1 = params.phi12
-    phi2 = params.phi12 - math.pi
-    phi3 = phi4 = params.phi34
-    h31 = -0.5 * eps_p * params.omega12 * (
-        np.exp(-1j * phi1) * np.exp(1j * params.delta1 * t)
-        + np.exp(-1j * phi2) * np.exp(1j * params.delta2 * t)
-    )
-    h32 = -0.5 * eps_q * params.omega34 * (
-        np.exp(-1j * phi3) * np.exp(1j * params.delta3 * t)
-        + np.exp(-1j * phi4) * np.exp(1j * params.delta4 * t)
-    )
-    h = np.zeros((3, 3), dtype=complex)
-    h[2, 0] = h31
-    h[2, 1] = h32
-    h[0, 2] = np.conj(h31)
-    h[1, 2] = np.conj(h32)
-    return h
+    p, q = couplings(params, schedule, t)
+    return EffectiveFields(p, q, params.big_delta, params.big_delta_prime)
 
 
 def with_delta_phi(params: DriveParams, delta_phi: float) -> DriveParams:

@@ -15,12 +15,6 @@ from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class MixingAngles:
-    theta: float
-    varphi: float
-
-
-@dataclass(frozen=True)
 class EigenSystem:
     """Dark state a0 (eigenvalue 0) and bright states a+/- with lambda+/-."""
 
@@ -29,7 +23,6 @@ class EigenSystem:
     a_minus: np.ndarray
     lambda_plus: float
     lambda_minus: float
-    lambda0: float = 0.0
     degenerate: bool = False
 
 
@@ -67,13 +60,6 @@ def mixing_varphi(fields: drive.EffectiveFields) -> float:
     """Bright-state mixing angle in [0, pi/2], from tan(2 varphi) = 2 sqrt(|P|^2+|Q|^2)/Delta."""
     coupling = math.sqrt(fields.coupling_sq)
     return 0.5 * math.atan2(2.0 * coupling, fields.big_delta)
-
-
-def mixing_angles(params, schedule, t) -> MixingAngles:
-    return MixingAngles(
-        theta=mixing_theta(params, t, schedule),
-        varphi=mixing_varphi(drive.effective_fields(params, schedule, t)),
-    )
 
 
 def dark_state(

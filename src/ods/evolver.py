@@ -9,9 +9,16 @@ with D[L] rho = 2 L rho L^dag - L^dag L rho - rho L^dag L.  H is either
 the rotating-frame Hamiltonian or the explicit four-field one; the two
 differ by a diagonal time-dependent phase transformation under which all
 five dissipators are invariant, so populations agree between frames.
+
+On the row-major vec(rho) both frames integrate one 9x9 generator in
+coefficient form, L(t) = L0 + sum_k c_k(t) G_k with
+c = (Re c31, Im c31, Re c32, Im c32) from drive.couplings.  L0 holds the
+dissipators and the frame's constant detunings; G_k = -i[H_k, .] for the
+unit coupling H_k.  liouvillian builds (L0, G) once per evolve.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,12 +27,18 @@ from . import core, drive
 from .eigensystem import dark_state
 from .errors import DivergenceError, IntegratorError, ValidationError
 
-FRAMES = ("effective", "full")
 METHODS = ("rk45-adaptive", "dop853-adaptive", "rk4-fixed")
 _SCIPY_METHOD = {"rk45-adaptive": "RK45", "dop853-adaptive": "DOP853"}
 
 POSITIVITY_FAIL = 1e-6
 TRACE_FAIL = 1e-6
+
+# Upper bound on the samples, and on the rk4-fixed steps, of one evolve
+MAX_POINTS = 1_000_000
+
+# each rate and its Lindblad operator |i><j|
+_JUMPS = (("gamma31_se", 1, 3), ("gamma32_se", 2, 3), ("gamma3_deph", 3, 3),
+          ("gamma2_deph", 2, 2), ("gamma21_long", 1, 2))
 
 
 @dataclass(frozen=True)
@@ -45,9 +58,9 @@ class DecoherenceRates:
     gamma21_long: float = 0.002
 
     def __post_init__(self):
-        for name in ("gamma31_se", "gamma32_se", "gamma3_deph", "gamma2_deph", "gamma21_long"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"rate {name} must be >= 0")
+        for name, value in vars(self).items():
+            if not 0.0 <= value < math.inf:
+                raise ValidationError(f"rate {name} must be finite and >= 0, got {value}")
 
     @property
     def gamma31(self) -> float:
@@ -78,6 +91,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown integrator method {self.method!r}")
+        drive.require_finite(step=self.step, abs_tol=self.abs_tol, rel_tol=self.rel_tol,
+                             sample_interval=self.sample_interval)
         if self.method == "rk4-fixed" and (self.step is None or self.step <= 0):
             raise ValidationError("rk4-fixed requires a positive step")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -126,26 +141,20 @@ class Trajectory:
         return out
 
 
-def _jump_operators(rates: DecoherenceRates):
-    return (
-        (rates.gamma31_se, core.projection_operator(1, 3)),
-        (rates.gamma32_se, core.projection_operator(2, 3)),
-        (rates.gamma3_deph, core.projection_operator(3, 3)),
-        (rates.gamma2_deph, core.projection_operator(2, 2)),
-        (rates.gamma21_long, core.projection_operator(1, 2)),
-    )
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """9x9 superoperator of rho -> -i[h, rho] on the row-major vec(rho)."""
+    eye = np.eye(3)
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 def dissipator_matrix(rates: DecoherenceRates) -> np.ndarray:
     """9x9 superoperator D with vec(drho_dissipative) = D @ vec(rho)."""
     eye = np.eye(3)
     d = np.zeros((9, 9), dtype=complex)
-    for g, op in _jump_operators(rates):
-        if g == 0.0:
-            continue
-        opd = op.conj().T
-        opsq = opd @ op
-        d += (g / 2.0) * (
+    for name, i, j in _JUMPS:
+        op = core.projection_operator(i, j)
+        opsq = op.conj().T @ op
+        d += (getattr(rates, name) / 2.0) * (
             2.0 * np.kron(op, op.conj())
             - np.kron(opsq, eye)
             - np.kron(eye, opsq.T)
@@ -153,25 +162,12 @@ def dissipator_matrix(rates: DecoherenceRates) -> np.ndarray:
     return d
 
 
-def lindblad_rhs(rho: np.ndarray, h: np.ndarray, rates: DecoherenceRates) -> np.ndarray:
-    """drho/dt for a given Hamiltonian; traceless and Hermitian by construction."""
-    rho = np.asarray(rho, dtype=complex)
-    out = -1j * (h @ rho - rho @ h)
-    for g, op in _jump_operators(rates):
-        if g == 0.0:
-            continue
-        opd = op.conj().T
-        opsq = opd @ op
-        out += (g / 2.0) * (2.0 * op @ rho @ opd - opsq @ rho - rho @ opsq)
-    return out
-
-
-def _hamiltonian_builder(params, schedule, frame):
-    if frame == "effective":
-        return lambda t: drive.effective_hamiltonian(params, schedule, t)
-    if frame == "full":
-        return lambda t: drive.full_hamiltonian(params, schedule, t)
-    raise ValidationError(f"unknown frame {frame!r}")
+def liouvillian(params: drive.DriveParams, rates: DecoherenceRates, frame: str = "effective"):
+    """The frame's generator as (L0, G): L0 is 9x9, G stacks the four G_k (4x9x9)."""
+    l0 = dissipator_matrix(rates) + _commutator(np.diag(drive.frame_detunings(params, frame)))
+    s31, s32 = core.projection_operator(3, 1), core.projection_operator(3, 2)
+    units = (s31 + s31.T, 1j * (s31 - s31.T), s32 + s32.T, 1j * (s32 - s32.T))
+    return l0, np.stack([_commutator(h) for h in units])
 
 
 def _check_sample(rho: np.ndarray, t: float) -> np.ndarray:
@@ -191,6 +187,8 @@ def _check_sample(rho: np.ndarray, t: float) -> np.ndarray:
 
 def _sample_times(t_span, interval):
     t0, t1 = t_span
+    if (t1 - t0) / interval > MAX_POINTS:
+        raise ValidationError(f"more than {MAX_POINTS} samples; raise sample_interval")
     n = max(1, int(round((t1 - t0) / interval)))
     times = t0 + interval * np.arange(n + 1)
     times[-1] = min(times[-1], t1)
@@ -217,24 +215,23 @@ def evolve(
     rho0 = np.asarray(rho0, dtype=complex)
     core.assert_density(rho0)
     t0, t1 = float(t_span[0]), float(t_span[1])
+    drive.require_finite(t_start=t0, t_end=t1)
     if not t1 > t0:
         raise ValidationError("t_span must be increasing")
     if schedule.shape == "counterintuitive":
         schedule.ramped_pair(params)  # rejects a t_on off both beat nodes
+    if config.method == "rk4-fixed" and (t1 - t0) / config.step > MAX_POINTS:
+        raise ValidationError(f"more than {MAX_POINTS} rk4-fixed steps; raise step")
 
     interval = config.sample_interval
     if interval is None:
         interval = params.period / 200.0 if params.is_ods_valid else (t1 - t0) / 400.0
     times = _sample_times((t0, t1), interval)
-
-    build_h = _hamiltonian_builder(params, schedule, frame)
-    dmat = dissipator_matrix(rates)
+    l0, gens = liouvillian(params, rates, frame)  # rejects a frame outside drive.FRAMES
 
     def rhs(t, y):
-        rho = y.reshape(3, 3)
-        h = build_h(t)
-        drho = -1j * (h @ rho - rho @ h) + (dmat @ y).reshape(3, 3)
-        return drho.ravel()
+        c31, c32 = drive.couplings(params, schedule, t, frame)
+        return l0 @ y + np.array((c31.real, c31.imag, c32.real, c32.imag)) @ (gens @ y)
 
     if config.method == "rk4-fixed":
         states = _integrate_rk4(rhs, rho0, times, config.step)

@@ -44,7 +44,6 @@ class TransferTime:
 
     n: int
     time: float
-    destination: int = 2
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from ods import (
     analytic_eigensystem,
     basis_state,
     dark_state,
-    effective_hamiltonian,
     evolve,
     evolving_margin,
     fidelity_scan,
+    hamiltonian,
     numerical_eigensystem,
     plan_superposition,
     plan_transfer_protocol,
@@ -184,7 +184,7 @@ class TestCriterion5Eigensystem:
             p = random_ods_params(rng)
             t = rng.uniform(0.0, 300.0)
             es = analytic_eigensystem(p, plateau, t)
-            h = effective_hamiltonian(p, plateau, t)
+            h = hamiltonian(p, plateau, t)
             vals, vecs = numerical_eigensystem(h)
             analytic = np.array(sorted([0.0, es.lambda_plus, es.lambda_minus]))
             worst_val = max(worst_val, np.max(np.abs(vals - analytic)))

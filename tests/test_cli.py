@@ -153,10 +153,19 @@ class TestMain:
         lines = (tmp_path / "fig3.csv").read_text().splitlines()
         assert lines[0] == "n,t,F,F2"
         assert len(lines) == 5  # n = 0..3
-        assert (tmp_path / "fig3_inset.csv").exists()
         assert (tmp_path / "fig3.gnuplot").exists()
         last = [float(v) for v in lines[-1].split(",")]
         assert last[2] > 0.95
+        # the inset starts from the same |1> as the scan
+        inset = (tmp_path / "fig3_inset.csv").read_text().splitlines()
+        assert float(inset[1].split(",")[2]) == float(lines[1].split(",")[2]) == 1.0
+
+    def test_fig3_rejects_other_initial_state(self, tmp_path, capsys):
+        code = main(["fig3", "--n-max", "3", "--set", "initial_state=2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "initial_state" in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--set", "bogus=1",
@@ -179,6 +188,16 @@ class TestMain:
                      "--set", "t_on=10", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "counterintuitive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "omega=nan", "gamma2_deph=inf", "abs_tol=nan", "tau=nan", "sample_interval=1e-12",
+    ])
+    def test_non_finite_or_unbounded_exit_code(self, tmp_path, capsys, override):
+        # each is rejected before integration instead of hanging or printing NaN
+        code = main(["simulate", "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_negative_rate_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--set", "gamma2_deph=-1",

@@ -8,12 +8,12 @@ from ods import (
     RampSchedule,
     ValidationError,
     effective_fields,
-    effective_hamiltonian,
-    full_hamiltonian,
+    hamiltonian,
 )
 from tests.conftest import random_ods_params
 
 PLATEAU = RampSchedule(tau=0.0, shape="instantaneous")
+FIG2A = dict(omega12=2.0, omega34=2.0, delta1=0.3, delta2=0.2, delta3=0.3, delta4=0.2)
 
 
 class TestDriveParams:
@@ -30,6 +30,12 @@ class TestDriveParams:
     def test_ods_constructor_rejects_nonzero_offset(self):
         with pytest.raises(ValidationError):
             DriveParams(2, 2, delta1=0.3, delta2=0.2, delta3=0.2, delta4=0.1)
+
+    @pytest.mark.parametrize("field", ["omega12", "delta1", "phi34"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            DriveParams(**{**FIG2A, field: value}, require_ods=False)
 
     def test_general_params_constructible_when_flagged(self):
         p = DriveParams(2, 2, 0.3, 0.2, 0.4, 0.1, require_ods=False)
@@ -81,6 +87,11 @@ class TestEnvelope:
             RampSchedule(tau=2.0, t_on=0.0, t_off=1.0)
         with pytest.raises(ValidationError):
             RampSchedule(tau=1.0, shape="instantaneous")
+        for bad in ({"tau": math.nan}, {"tau": math.inf}, {"t_on": math.nan},
+                    {"t_on": -math.inf}, {"t_off": math.nan}, {"t_off": -math.inf}):
+            with pytest.raises(ValidationError):
+                RampSchedule(**{"tau": 1.0, **bad})
+        assert RampSchedule(tau=1.0, t_off=math.inf).t_off == math.inf
 
     def test_counterintuitive_pair_order(self, params_a):
         quarter = params_a.period / 4.0
@@ -135,11 +146,11 @@ class TestEffectiveFields:
 class TestEffectiveHamiltonian:
     def test_all_fields_off(self):
         p = DriveParams.ods(0.0, 0.0, delta=0.05, big_delta=0.25)
-        h = effective_hamiltonian(p, PLATEAU, 7.0)
+        h = hamiltonian(p, PLATEAU, 7.0)
         np.testing.assert_allclose(h, np.diag([0.0, 0.0, 0.25]).astype(complex))
 
     def test_only_q_couples_at_t0(self, params_a):
-        h = effective_hamiltonian(params_a, PLATEAU, 0.0)
+        h = hamiltonian(params_a, PLATEAU, 0.0)
         assert h[2, 0] == 0.0
         assert h[2, 1] != 0.0
 
@@ -147,12 +158,12 @@ class TestEffectiveHamiltonian:
         rng = np.random.default_rng(11)
         for _ in range(50):
             p = random_ods_params(rng)
-            h = effective_hamiltonian(p, PLATEAU, rng.uniform(0, 200))
+            h = hamiltonian(p, PLATEAU, rng.uniform(0, 200))
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_eigenvalues_match_closed_form(self, params_a):
         # spectrum {0, (D +- sqrt(D^2+4|P|^2+4|Q|^2))/2} at t = T/8
-        h = effective_hamiltonian(params_a, PLATEAU, params_a.period / 8.0)
+        h = hamiltonian(params_a, PLATEAU, params_a.period / 8.0)
         root = math.sqrt(0.25**2 + 4 * 4.0)
         expected = sorted([0.0, 0.5 * (0.25 + root), 0.5 * (0.25 - root)])
         np.testing.assert_allclose(np.linalg.eigvalsh(h), expected, atol=1e-10)
@@ -161,11 +172,12 @@ class TestEffectiveHamiltonian:
 class TestFullHamiltonian:
     def test_all_fields_off(self):
         p = DriveParams.ods(0.0, 0.0, delta=0.05, big_delta=0.25)
-        np.testing.assert_array_equal(full_hamiltonian(p, PLATEAU, 3.0), np.zeros((3, 3)))
+        h = hamiltonian(p, PLATEAU, 3.0, frame="full")
+        np.testing.assert_array_equal(h, np.zeros((3, 3)))
 
     def test_pair_cancellation_at_t0(self, params_a):
         # phi1 = phi2 + pi makes the two sigma_31 terms cancel at t = 0
-        h = full_hamiltonian(params_a, PLATEAU, 0.0)
+        h = hamiltonian(params_a, PLATEAU, 0.0, frame="full")
         assert abs(h[2, 0]) < 1e-15
 
     def test_entries_match_closed_form(self):
@@ -175,7 +187,7 @@ class TestFullHamiltonian:
         for _ in range(100):
             p = random_ods_params(rng)
             t = rng.uniform(0, 300)
-            h = full_hamiltonian(p, PLATEAU, t)
+            h = hamiltonian(p, PLATEAU, t, frame="full")
             e31 = (-1j * p.omega12 * np.exp(-1j * p.phi12)
                    * np.exp(1j * p.big_delta * t) * np.sin(p.delta * t))
             e32 = (-p.omega34 * np.exp(-1j * p.phi34)
@@ -188,7 +200,7 @@ class TestFullHamiltonian:
         # entry (3,1) equals P e^{i Delta t} on 100 random times
         rng = np.random.default_rng(6)
         for t in rng.uniform(0, 500, size=100):
-            h = full_hamiltonian(params_a, PLATEAU, t)
+            h = hamiltonian(params_a, PLATEAU, t, frame="full")
             f = effective_fields(params_a, PLATEAU, t)
             assert abs(h[2, 0] - f.p * np.exp(1j * f.big_delta * t)) < 1e-12
 
@@ -198,7 +210,7 @@ class TestFullHamiltonian:
         for t in (0.3, 4.0, 9.0):
             eps_p, eps_q = s.pair_envelopes(params_a, t)
             f = effective_fields(params_a, s, t)
-            h = full_hamiltonian(params_a, s, t)
+            h = hamiltonian(params_a, s, t, frame="full")
             assert eps_p < eps_q == 1.0
             assert f.p == pytest.approx(eps_p * effective_fields(params_a, PLATEAU, t).p)
             assert f.q == pytest.approx(effective_fields(params_a, PLATEAU, t).q)
@@ -209,7 +221,7 @@ class TestFullHamiltonian:
         rng = np.random.default_rng(12)
         for _ in range(50):
             p = random_ods_params(rng)
-            h = full_hamiltonian(p, PLATEAU, rng.uniform(0, 200))
+            h = hamiltonian(p, PLATEAU, rng.uniform(0, 200), frame="full")
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
 
@@ -219,6 +231,6 @@ def test_common_phase_shift_preserves_spectrum(params_a, schedule_a):
     for chi in (0.3, -1.2, 2.9):
         shifted = replace(params_a, phi12=params_a.phi12 + chi, phi34=params_a.phi34 + chi)
         for t in (3.0, 40.0, 77.7):
-            e1 = np.linalg.eigvalsh(effective_hamiltonian(params_a, schedule_a, t))
-            e2 = np.linalg.eigvalsh(effective_hamiltonian(shifted, schedule_a, t))
+            e1 = np.linalg.eigvalsh(hamiltonian(params_a, schedule_a, t))
+            e2 = np.linalg.eigvalsh(hamiltonian(shifted, schedule_a, t))
             np.testing.assert_allclose(e1, e2, atol=1e-12)

@@ -12,7 +12,7 @@ from ods import (
     bright_states,
     dark_state,
     effective_fields,
-    effective_hamiltonian,
+    hamiltonian,
     mixing_theta,
     mixing_varphi,
     numerical_eigensystem,
@@ -104,7 +104,7 @@ class TestDarkState:
             t = rng.uniform(0, 300)
             a0 = dark_state(p, t)
             assert a0[2] == 0.0
-            h = effective_hamiltonian(p, PLATEAU, t)
+            h = hamiltonian(p, PLATEAU, t)
             assert np.linalg.norm(h @ a0) < 1e-10
 
 
@@ -155,7 +155,7 @@ class TestNumericalOracle:
             p = random_ods_params(rng)
             t = rng.uniform(0, 300)
             es = analytic_eigensystem(p, PLATEAU, t)
-            h = effective_hamiltonian(p, PLATEAU, t)
+            h = hamiltonian(p, PLATEAU, t)
             vals, vecs = numerical_eigensystem(h)
             analytic = sorted([0.0, es.lambda_plus, es.lambda_minus])
             np.testing.assert_allclose(vals, analytic, atol=1e-9)
@@ -170,7 +170,7 @@ class TestNumericalOracle:
         broken = DriveParams(2.0, 2.0, 0.35, 0.25, 0.3, 0.2, require_ods=False)
         t = 20.0
         a0 = dark_state(ods, t)
-        h = effective_hamiltonian(broken, PLATEAU, t)
+        h = hamiltonian(broken, PLATEAU, t)
         assert np.linalg.norm(h @ a0) > 1e-3
 
     def test_eigensystem_follows_counterintuitive_upload(self, params_a):
@@ -179,7 +179,7 @@ class TestNumericalOracle:
         sched = RampSchedule.for_params(params_a, 0.1, shape="counterintuitive")
         for t in (0.5, 2.0, 5.0, 9.0):
             es = analytic_eigensystem(params_a, sched, t)
-            h = effective_hamiltonian(params_a, sched, t)
+            h = hamiltonian(params_a, sched, t)
             assert np.linalg.norm(h @ es.a0) < 1e-12
             for lam, vec in ((es.lambda_plus, es.a_plus), (es.lambda_minus, es.a_minus)):
                 assert np.linalg.norm(h @ vec - lam * vec) < 1e-12

@@ -12,11 +12,50 @@ from ods import (
     ValidationError,
     basis_state,
     evolve,
-    lindblad_rhs,
     pure_density,
 )
+from ods.core import projection_operator
+from ods.drive import couplings, hamiltonian
+from ods.evolver import MAX_POINTS, liouvillian
+from tests.conftest import random_ods_params
 
-H0 = np.zeros((3, 3), dtype=complex)
+# fields off: in the full frame the generator is the bare dissipator
+FIELDS_OFF = DriveParams.ods(0.0, 0.0, delta=0.05)
+PLATEAU = RampSchedule(tau=0.0, shape="instantaneous")
+JUMPS = (
+    ("gamma31_se", (1, 3)),
+    ("gamma32_se", (2, 3)),
+    ("gamma3_deph", (3, 3)),
+    ("gamma2_deph", (2, 2)),
+    ("gamma21_long", (1, 2)),
+)
+
+
+def lindblad_reference(rho, h, rates):
+    """Loop-form -i[H, rho] + sum (g/2)(2 L rho L^dag - L^dag L rho - rho L^dag L)."""
+    out = -1j * (h @ rho - rho @ h)
+    for name, (i, j) in JUMPS:
+        op = projection_operator(i, j)
+        opd = op.conj().T
+        out += (getattr(rates, name) / 2.0) * (
+            2.0 * op @ rho @ opd - opd @ op @ rho - rho @ opd @ op
+        )
+    return out
+
+
+def generator_rhs(rho, params, schedule, rates, t, frame="effective"):
+    """drho/dt from the coefficient-form generator (L0 + c(t) . G) vec(rho)."""
+    l0, gens = liouvillian(params, rates, frame)
+    c31, c32 = couplings(params, schedule, t, frame)
+    c = np.array([c31.real, c31.imag, c32.real, c32.imag])
+    y = np.asarray(rho, dtype=complex).ravel()
+    return (l0 @ y + c @ (gens @ y)).reshape(3, 3)
+
+
+def random_density(rng):
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestDecoherenceRates:
@@ -30,19 +69,39 @@ class TestDecoherenceRates:
         with pytest.raises(ValidationError):
             DecoherenceRates(gamma31_se=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError):
+            DecoherenceRates(gamma2_deph=value)
+
     def test_none(self):
         r = DecoherenceRates.none()
         assert r.gamma31 == 0.0 and r.gamma21 == 0.0
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "sample_interval"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            IntegratorConfig(**{field: value})
+
+    def test_non_finite_step_rejected(self):
+        with pytest.raises(ValidationError):
+            IntegratorConfig(method="rk4-fixed", step=math.inf)
+
+
 class TestLindbladRhs:
+    """The generator built by liouvillian, checked against the loop form."""
+
     def test_ground_state_stationary(self):
         rho = pure_density(basis_state(1))
-        np.testing.assert_allclose(lindblad_rhs(rho, H0, DecoherenceRates()), 0.0, atol=1e-15)
+        d = generator_rhs(rho, FIELDS_OFF, PLATEAU, DecoherenceRates(), 0.0, "full")
+        np.testing.assert_allclose(d, 0.0, atol=1e-15)
 
     def test_excited_state_decay_rates(self):
         rho = pure_density(basis_state(3))
-        d = lindblad_rhs(rho, H0, DecoherenceRates())
+        d = generator_rhs(rho, FIELDS_OFF, PLATEAU, DecoherenceRates(), 0.0, "full")
         assert d[2, 2].real == pytest.approx(-1.0)  # -(G31 + G32)
         assert d[0, 0].real == pytest.approx(0.5)  # G31
         assert d[1, 1].real == pytest.approx(0.5)  # G32
@@ -51,33 +110,41 @@ class TestLindbladRhs:
         # rho21 perturbation decays at gamma21/2 = (G21 + g2deph)/2
         rho = np.eye(3, dtype=complex) / 3.0
         rho[1, 0] = rho[0, 1] = 0.1
-        d = lindblad_rhs(rho, H0, DecoherenceRates())
+        d = generator_rhs(rho, FIELDS_OFF, PLATEAU, DecoherenceRates(), 0.0, "full")
         assert d[1, 0].real == pytest.approx(-0.022 / 2 * 0.1)
 
     def test_traceless_and_hermitian(self):
         rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = (h + h.conj().T) / 2
-        d = lindblad_rhs(rho, h, DecoherenceRates())
-        assert abs(np.trace(d)) < 1e-14
-        assert np.max(np.abs(d - d.conj().T)) < 1e-14
+        for frame in ("effective", "full"):
+            for _ in range(20):
+                d = generator_rhs(random_density(rng), random_ods_params(rng), PLATEAU,
+                                  DecoherenceRates(), rng.uniform(0, 300), frame)
+                assert abs(np.trace(d)) < 1e-13
+                assert np.max(np.abs(d - d.conj().T)) < 1e-13
 
     def test_matches_superoperator_matrix(self):
-        from ods.evolver import dissipator_matrix
-
+        # (L0 + c(t) . G) vec(rho) == -i[H, rho] + sum D[L] rho, H = hamiltonian(..., frame)
         rng = np.random.default_rng(9)
-        rates = DecoherenceRates(0.4, 0.3, 0.2, 0.05, 0.01)
-        dmat = dissipator_matrix(rates)
-        for _ in range(20):
-            a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            expected = lindblad_rhs(rho, H0, rates)
-            got = (dmat @ rho.ravel()).reshape(3, 3)
-            np.testing.assert_allclose(got, expected, atol=1e-13)
+        for frame in ("effective", "full"):
+            for _ in range(40):
+                params = random_ods_params(rng)
+                rates = DecoherenceRates(*rng.uniform(0.0, 1.0, size=5))
+                rho = random_density(rng)
+                t = rng.uniform(0, 300)
+                expected = lindblad_reference(rho, hamiltonian(params, PLATEAU, t, frame), rates)
+                got = generator_rhs(rho, params, PLATEAU, rates, t, frame)
+                np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("frame", ["effective", "full"])
+    def test_matches_loop_form_in_counterintuitive_upload(self, params_a, frame):
+        schedule = RampSchedule.for_params(params_a, 0.1, shape="counterintuitive")
+        rng = np.random.default_rng(10)
+        rates = DecoherenceRates.reference()
+        for t in rng.uniform(0.0, schedule.tau, size=20):
+            rho = random_density(rng)
+            expected = lindblad_reference(rho, hamiltonian(params_a, schedule, t, frame), rates)
+            got = generator_rhs(rho, params_a, schedule, rates, t, frame)
+            np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 class TestEvolve:
@@ -151,6 +218,22 @@ class TestEvolve:
             evolve(pure_density(basis_state(1)), params_a,
                    RampSchedule(tau=1.0, t_on=10.0, shape="counterintuitive"),
                    reference_rates, (10.0, 20.0))
+        with pytest.raises(ValidationError):
+            evolve(pure_density(basis_state(1)), params_a, schedule_a, reference_rates,
+                   (0.0, 1.0), frame="lab")
+
+    def test_caps_samples_and_steps(self, params_a, schedule_a, reference_rates, rho_ground):
+        # each is rejected before anything is allocated or integrated
+        span = (0.0, 10.0)
+        with pytest.raises(ValidationError, match="samples"):
+            evolve(rho_ground, params_a, schedule_a, reference_rates, span,
+                   IntegratorConfig(sample_interval=span[1] / (2 * MAX_POINTS)))
+        with pytest.raises(ValidationError, match="steps"):
+            evolve(rho_ground, params_a, schedule_a, reference_rates, span,
+                   IntegratorConfig(method="rk4-fixed", step=span[1] / (2 * MAX_POINTS),
+                                    sample_interval=span[1]))
+        with pytest.raises(ValidationError, match="t_end"):
+            evolve(rho_ground, params_a, schedule_a, reference_rates, (0.0, math.inf))
 
 
 class TestCounterintuitiveUpload:

@@ -44,7 +44,6 @@ class TestPlanTransfer:
         # theta = pi/2 + n pi at every (1/4 + n/2) T: |2> population is 1 for all n
         for point in plan_transfer(params_a, n_max=6):
             a0 = dark_state(params_a, point.time)
-            assert point.destination == 2
             assert abs(a0[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_requires_oscillation(self):

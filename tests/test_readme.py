@@ -1,0 +1,16 @@
+"""The README's python blocks run as written, in order, in one namespace."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["result"].fidelity > 0.95
