@@ -50,6 +50,7 @@ from .evolver import (
     IntegratorConfig,
     Trajectory,
     evolve,
+    period_propagator,
 )
 from .planner import (
     ProtocolPlan,

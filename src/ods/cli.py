@@ -202,6 +202,12 @@ def cmd_fig3(cfg: ExperimentConfig, out_dir: str, n_max: int) -> int:
     for p in (path, inset_path, script):
         print(f"wrote {p}")
     print(f"F({n_max}T) = {_g17(scan['F'][-1])}, F2 = {_g17(scan['F2'][-1])}")
+    if math.isnan(scan["lambda2"]):
+        print("one-period propagator: not used (finite t_off, or no whole period "
+              "left after the upload); integrated directly")
+    else:
+        print(f"one-period propagator: fixed-point rho11 = {_g17(scan['fixed_rho11'])}")
+        print(f"one-period propagator: |lambda_2| = {_g17(scan['lambda2'])}")
     return EXIT_OK
 
 

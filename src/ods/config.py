@@ -52,6 +52,10 @@ class RunOptions:
             raise ValidationError(
                 f"initial_state must be one of {_INITIAL_STATES}, got {self.initial_state!r}"
             )
+        if self.n_periods is not None and self.n_periods < 1:
+            raise ValidationError(f"n_periods must be >= 1, got {self.n_periods}")
+        if self.t_final is not None and not 0.0 < self.t_final < math.inf:
+            raise ValidationError(f"t_final must be finite and > 0, got {self.t_final}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,13 @@ class ExperimentConfig:
         if self.run.t_final is not None:
             return self.run.t_final
         if self.run.n_periods is not None:
-            return self.run.n_periods * self.drive.period
+            try:
+                t_final = self.run.n_periods * self.drive.period
+            except OverflowError:  # an int beyond the float range
+                t_final = math.inf
+            if t_final == math.inf:
+                raise ValidationError("n_periods times the period is not a finite time")
+            return t_final
         return 4.0 * self.drive.period
 
     def initial_density(self) -> np.ndarray:

@@ -14,7 +14,8 @@ On the row-major vec(rho) both frames integrate one 9x9 generator in
 coefficient form, L(t) = L0 + sum_k c_k(t) G_k with
 c = (Re c31, Im c31, Re c32, Im c32) from drive.couplings.  L0 holds the
 dissipators and the frame's constant detunings; G_k = -i[H_k, .] for the
-unit coupling H_k.  liouvillian builds (L0, G) once per evolve.
+unit coupling H_k.  liouvillian builds (L0, G) once per evolve or
+period_propagator call, and both integrate the same L(t).
 """
 
 import math
@@ -35,6 +36,13 @@ TRACE_FAIL = 1e-6
 
 # Upper bound on the samples, and on the rk4-fixed steps, of one evolve
 MAX_POINTS = 1_000_000
+
+# RHS-evaluation budget of one scipy solve over a span s (in 1/gamma31):
+# MAX_RHS_BASE + MAX_RHS_PER_TIME * s.  The adaptive step shrinks like
+# 1/Omega; the densest tier-1 solve (RK45 at 1e-12, Omega = 2) takes 240
+# evaluations per unit time, Omega = 1e5 at 1e-9 about 3e6.
+MAX_RHS_BASE = 10_000
+MAX_RHS_PER_TIME = 600
 
 # each rate and its Lindblad operator |i><j|
 _JUMPS = (("gamma31_se", 1, 3), ("gamma32_se", 2, 3), ("gamma3_deph", 3, 3),
@@ -218,8 +226,6 @@ def evolve(
     drive.require_finite(t_start=t0, t_end=t1)
     if not t1 > t0:
         raise ValidationError("t_span must be increasing")
-    if schedule.shape == "counterintuitive":
-        schedule.ramped_pair(params)  # rejects a t_on off both beat nodes
     if config.method == "rk4-fixed" and (t1 - t0) / config.step > MAX_POINTS:
         raise ValidationError(f"more than {MAX_POINTS} rk4-fixed steps; raise step")
 
@@ -227,32 +233,83 @@ def evolve(
     if interval is None:
         interval = params.period / 200.0 if params.is_ods_valid else (t1 - t0) / 400.0
     times = _sample_times((t0, t1), interval)
-    l0, gens = liouvillian(params, rates, frame)  # rejects a frame outside drive.FRAMES
-
-    def rhs(t, y):
-        c31, c32 = drive.couplings(params, schedule, t, frame)
-        return l0 @ y + np.array((c31.real, c31.imag, c32.real, c32.imag)) @ (gens @ y)
+    rhs = _rhs(params, schedule, rates, frame)
 
     if config.method == "rk4-fixed":
         states = _integrate_rk4(rhs, rho0, times, config.step)
     else:
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            rho0.ravel(),
-            t_eval=times,
-            method=_SCIPY_METHOD[config.method],
-            rtol=config.rel_tol,
-            atol=config.abs_tol,
-        )
-        if not sol.success:
-            raise IntegratorError(f"integration failed: {sol.message}")
-        states = sol.y.T.reshape(-1, 3, 3)
+        states = _solve(rhs, (t0, t1), rho0.ravel(), config, times).T.reshape(-1, 3, 3)
 
     checked = np.empty_like(states)
     for k, t in enumerate(times):
         checked[k] = _check_sample(states[k], t)
     return Trajectory(times, checked, params, schedule, rates, frame)
+
+
+def period_propagator(
+    params: drive.DriveParams,
+    schedule: drive.RampSchedule,
+    rates: DecoherenceRates,
+    t_start: float,
+    config: IntegratorConfig | None = None,
+    frame: str = "effective",
+) -> np.ndarray:
+    """One-period Liouville propagator M: vec rho(t_start + T) = M @ vec rho(t_start).
+
+    Integrates the 9x9 identity over [t_start, t_start + T], T =
+    params.period, as one solve of 81 components under the generator
+    evolve uses, with config's scipy method and tolerances.  Where L(t)
+    is T-periodic from t_start on (the effective frame after the upload,
+    with t_off = inf), vec rho(t_start + nT) = M^n vec rho(t_start)
+    (Shirley, Phys. Rev. 138, B979 (1965)).
+    """
+    config = config or IntegratorConfig()
+    if config.method == "rk4-fixed":
+        raise ValidationError("period_propagator needs an adaptive method")
+    t0 = float(t_start)
+    drive.require_finite(t_start=t0)
+    t1 = t0 + params.period
+    y = _solve(_rhs(params, schedule, rates, frame), (t0, t1), np.eye(9, dtype=complex).ravel(),
+               config, (t1,))
+    return y[:, -1].reshape(9, 9)
+
+
+def _rhs(params, schedule, rates, frame):
+    """f(t, y) = L(t) y for y = vec(rho), or y = the flattened 9x9 matrix whose columns evolve."""
+    if schedule.shape == "counterintuitive":
+        schedule.ramped_pair(params)  # rejects a t_on off both beat nodes
+    l0, gens = liouvillian(params, rates, frame)  # rejects a frame outside drive.FRAMES
+    gens = gens.reshape(4, 81)
+
+    def rhs(t, y):
+        c31, c32 = drive.couplings(params, schedule, t, frame)
+        lt = l0 + (np.array((c31.real, c31.imag, c32.real, c32.imag)) @ gens).reshape(9, 9)
+        return (lt @ y.reshape(9, -1)).ravel()
+
+    return rhs
+
+
+def _solve(rhs, t_span, y0, config, t_eval):
+    """solve_ivp's samples y (n_components, len(t_eval)) with config's method and
+    tolerances, under the RHS-evaluation budget."""
+    budget = MAX_RHS_BASE + MAX_RHS_PER_TIME * (t_span[1] - t_span[0])
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise IntegratorError(
+                f"more than {budget:.0f} RHS evaluations over t = {t_span[0]}..{t_span[1]} "
+                f"(stopped at t = {t}); the drive is too fast for this horizon"
+            )
+        return rhs(t, y)
+
+    sol = solve_ivp(counted, t_span, y0, t_eval=t_eval, method=_SCIPY_METHOD[config.method],
+                    rtol=config.rel_tol, atol=config.abs_tol)
+    if not sol.success:
+        raise IntegratorError(f"integration failed: {sol.message}")
+    return sol.y
 
 
 def _integrate_rk4(rhs, rho0, times, step):

@@ -16,6 +16,11 @@ from . import core, drive, evolver
 from .eigensystem import dark_state
 from .errors import ValidationError
 
+# Least gap 1 - |lambda_2| of the one-period propagator for its eigenvalue-1
+# fixed point to count as unique; M carries the 1e-9 step-control error,
+# and a closed system has |lambda| = 1 throughout
+FIXED_POINT_GAP = 1e-6
+
 
 @dataclass(frozen=True)
 class TargetState:
@@ -156,26 +161,62 @@ def fidelity_scan(
     n_periods: int = 1000,
     schedule: drive.RampSchedule | None = None,
 ) -> dict:
-    """Fidelity of rho(nT) to the initial |1> over one long evolution.
+    """Fidelity of rho(nT) to the initial |1> for n = 0..n_periods.
 
     Returns arrays n, t, F and F2 (the overlap <1|rho|1>); both fidelity
     readings are emitted so either convention of the published scan can
     be checked.
+
+    With t_off = inf the generator is T-periodic once the upload has
+    ended, so rho is integrated directly only up to the first kT >= t_on
+    + tau; the one-period propagator M over [kT, (k+1)T] then gives
+    vec rho((n+1)T) = M vec rho(nT), and every rho(nT) is audited like an
+    evolve sample.  The scan also returns M's diagnostics: lambda2, the
+    second-largest |eigenvalue|, and fixed_rho11, rho11 of the unit-trace
+    eigenvector of the eigenvalue nearest 1 (the plateau), NaN unless
+    lambda2 < 1 - FIXED_POINT_GAP.  With a finite t_off, with kT already
+    the last scanned period, or with rk4-fixed, the whole scan is
+    integrated directly and both diagnostics are NaN.
     """
     _require_plannable(params)
+    if not 1 <= n_periods <= evolver.MAX_POINTS:
+        raise ValidationError(f"n_periods must be in 1..{evolver.MAX_POINTS}, got {n_periods}")
     period = params.period
     schedule = schedule or drive.RampSchedule.for_params(params)
     config = config or evolver.IntegratorConfig(method="dop853-adaptive")
     config = replace(config, sample_interval=period)
+    upload_end = schedule.t_on + schedule.tau
+    k = max(1, math.ceil(upload_end / period))
+    if k * period < upload_end:
+        k += 1
+    periodic = math.isinf(schedule.t_off) and k < n_periods and config.method != "rk4-fixed"
+    n_direct = k if periodic else n_periods
+
     rho0 = core.pure_density(core.basis_state(1))
     traj = evolver.evolve(
-        rho0, params, schedule, rates, (0.0, n_periods * period), config=config
+        rho0, params, schedule, rates, (0.0, n_direct * period), config=config
     )
-    ns = np.arange(n_periods + 1)
-    f2 = traj.states[:, 0, 0].real.clip(0.0, 1.0)
+    times = period * np.arange(n_periods + 1)
+    f2 = np.empty(n_periods + 1)
+    f2[: n_direct + 1] = traj.states[:, 0, 0].real
+    fixed_rho11 = lambda2 = math.nan
+    if periodic:
+        m = evolver.period_propagator(params, schedule, rates, k * period, config)
+        rho = traj.states[-1]
+        for n in range(k + 1, n_periods + 1):
+            rho = evolver._check_sample((m @ rho.ravel()).reshape(3, 3), times[n])
+            f2[n] = rho[0, 0].real
+        vals, vecs = np.linalg.eig(m)
+        lambda2 = np.sort(np.abs(vals))[-2]
+        if lambda2 < 1.0 - FIXED_POINT_GAP:
+            fixed = vecs[:, np.argmin(np.abs(vals - 1.0))].reshape(3, 3)
+            fixed_rho11 = (fixed[0, 0] / np.trace(fixed)).real
+    f2 = f2.clip(0.0, 1.0)
     return {
-        "n": ns,
-        "t": traj.times,
+        "n": np.arange(n_periods + 1),
+        "t": times,
         "F": np.sqrt(f2),
         "F2": f2,
+        "fixed_rho11": fixed_rho11,
+        "lambda2": lambda2,
     }

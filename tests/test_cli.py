@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +198,47 @@ class TestMain:
         code = main(["simulate", "--set", override, "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("override", [
+        "n_periods=1" + "0" * 400, "n_periods=0", "t_final=-1", "t_final=inf", "t_final=nan",
+    ])
+    def test_run_length_exit_code(self, tmp_path, capsys, override):
+        # a period count past the float range used to raise an uncaught OverflowError
+        code = main(["simulate", "--set", override, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_fig3_period_cap_exit_code(self, tmp_path, capsys):
+        # rejected before any allocation or integration
+        start = time.perf_counter()
+        code = main(["fig3", "--n-max", "2000000", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert time.perf_counter() - start < 5.0
+        assert "n_periods" in capsys.readouterr().err
+        assert not (tmp_path / "fig3.csv").exists()
+
+    def test_fig3_prints_propagator_diagnostics(self, tmp_path, capsys):
+        assert main(["fig3", "--n-max", "3", "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        rho11 = float(out.split("fixed-point rho11 = ")[1].splitlines()[0])
+        lambda2 = float(out.split("|lambda_2| = ")[1].splitlines()[0])
+        last_f2 = float((tmp_path / "fig3.csv").read_text().splitlines()[-1].split(",")[3])
+        assert rho11 == pytest.approx(last_f2, abs=1e-9)
+        assert lambda2 < 1e-6
+        assert main(["fig3", "--n-max", "3", "--set", "t_off=200",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        assert "not used" in capsys.readouterr().out
+
+    def test_fast_drive_exhausts_rhs_budget(self, tmp_path, capsys):
+        # the adaptive step shrinks like 1/omega; the budget stops the run
+        start = time.perf_counter()
+        code = main(["simulate", "--set", "omega=1e5", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_INTEGRATOR
+        assert "RHS evaluations" in capsys.readouterr().err
+        assert elapsed < 30.0
         assert not (tmp_path / "trajectory.csv").exists()
 
     def test_negative_rate_exit_code(self, tmp_path, capsys):

@@ -10,12 +10,15 @@ from ods import (
     IntegratorConfig,
     RampSchedule,
     ValidationError,
+    IntegratorError,
     basis_state,
     evolve,
+    period_propagator,
     pure_density,
 )
 from ods.core import projection_operator
 from ods.drive import couplings, hamiltonian
+from ods import evolver
 from ods.evolver import MAX_POINTS, liouvillian
 from tests.conftest import random_ods_params
 
@@ -234,6 +237,70 @@ class TestEvolve:
                                     sample_interval=span[1]))
         with pytest.raises(ValidationError, match="t_end"):
             evolve(rho_ground, params_a, schedule_a, reference_rates, (0.0, math.inf))
+
+
+class TestPeriodPropagator:
+    def test_matches_evolve_over_one_period(self, params_a, reference_rates):
+        # from inside the upload, so the period is not a plateau period
+        schedule = RampSchedule.for_params(params_a, 0.1, shape="counterintuitive")
+        config = IntegratorConfig(method="dop853-adaptive", sample_interval=params_a.period)
+        m = period_propagator(params_a, schedule, reference_rates, 0.0, config)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            rho = random_density(rng)
+            got = (m @ rho.ravel()).reshape(3, 3)
+            traj = evolve(rho, params_a, schedule, reference_rates, (0.0, params_a.period), config)
+            np.testing.assert_allclose(got, traj.states[-1], atol=1e-8)
+
+    def test_preserves_trace_and_hermiticity(self, params_a, schedule_a, reference_rates):
+        m = period_propagator(params_a, schedule_a, reference_rates, 2 * params_a.period)
+        # tr(M vec E_ij) = delta_ij, and M maps Hermitian matrices to Hermitian ones
+        trace_row = np.eye(3).ravel() @ m
+        np.testing.assert_allclose(trace_row, np.eye(3).ravel(), atol=1e-8)
+        h = random_density(np.random.default_rng(6))
+        out = (m @ h.ravel()).reshape(3, 3)
+        np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
+
+    def test_rejects_fixed_step_and_bad_inputs(self, params_a, schedule_a, reference_rates):
+        with pytest.raises(ValidationError, match="adaptive"):
+            period_propagator(params_a, schedule_a, reference_rates, 0.0,
+                              IntegratorConfig(method="rk4-fixed", step=0.5))
+        with pytest.raises(ValidationError):
+            period_propagator(params_a, schedule_a, reference_rates, math.nan)
+        with pytest.raises(ValidationError):
+            period_propagator(params_a, schedule_a, reference_rates, 0.0, frame="lab")
+
+
+class TestRhsBudget:
+    def test_exceeding_budget_raises(self, params_a, schedule_a, reference_rates, rho_ground,
+                                     monkeypatch):
+        monkeypatch.setattr(evolver, "MAX_RHS_BASE", 100)
+        monkeypatch.setattr(evolver, "MAX_RHS_PER_TIME", 1)
+        with pytest.raises(IntegratorError, match="RHS evaluations"):
+            evolve(rho_ground, params_a, schedule_a, reference_rates, (0.0, params_a.period))
+        with pytest.raises(IntegratorError, match="RHS evaluations"):
+            period_propagator(params_a, schedule_a, reference_rates, 0.0)
+
+    def test_densest_solves_stay_well_inside(self, params_a, schedule_a, reference_rates,
+                                             rho_ground, monkeypatch):
+        # RK45 at 1e-12 is the densest solve of the test suite (criterion 7's
+        # reference), and the scan's DOP853 propagator the longest per call
+        used = []
+        solve = evolver.solve_ivp
+
+        def recording(fun, t_span, y0, **kw):
+            sol = solve(fun, t_span, y0, **kw)
+            budget = evolver.MAX_RHS_BASE + evolver.MAX_RHS_PER_TIME * (t_span[1] - t_span[0])
+            used.append(sol.nfev / budget)
+            return sol
+
+        monkeypatch.setattr(evolver, "solve_ivp", recording)
+        span = (0.0, params_a.period)
+        evolve(rho_ground, params_a, schedule_a, reference_rates, span,
+               IntegratorConfig(abs_tol=1e-12, rel_tol=1e-12, sample_interval=span[1]))
+        period_propagator(params_a, schedule_a, reference_rates, params_a.period,
+                          IntegratorConfig(method="dop853-adaptive"))
+        assert len(used) == 2 and max(used) < 0.5
 
 
 class TestCounterintuitiveUpload:

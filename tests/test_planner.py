@@ -7,10 +7,12 @@ from ods import (
     DecoherenceRates,
     DriveParams,
     IntegratorConfig,
+    RampSchedule,
     TargetState,
     ValidationError,
     basis_state,
     dark_state,
+    evolve,
     fidelity_scan,
     plan_superposition,
     plan_transfer,
@@ -142,7 +144,7 @@ class TestRunProtocol:
 class TestFidelityScan:
     def test_initial_point_is_one(self, params_a, reference_rates):
         scan = fidelity_scan(params_a, reference_rates, n_periods=2)
-        assert scan["F"][0] == pytest.approx(1.0)
+        assert scan["F"][0] == 1.0
         assert scan["n"][0] == 0
 
     def test_closed_system_near_unity(self, params_a):
@@ -155,3 +157,73 @@ class TestFidelityScan:
         scan = fidelity_scan(params_a, reference_rates, n_periods=10)
         assert np.all(scan["F"][1:] > 0.95)
         assert abs(scan["F"][10] - scan["F"][1]) < 0.02
+
+
+def direct_f2(params, rates, schedule, n_periods):
+    """<1|rho(nT)|1> from one evolve over n_periods, sampled every period."""
+    config = IntegratorConfig(method="dop853-adaptive", sample_interval=params.period)
+    traj = evolve(pure_density(basis_state(1)), params, schedule, rates,
+                  (0.0, n_periods * params.period), config=config)
+    return traj.states[:, 0, 0].real
+
+
+def scan_schedule(params, case):
+    period = params.period
+    return {
+        "default": RampSchedule.for_params(params),
+        "counterintuitive": RampSchedule.for_params(params, 0.1, shape="counterintuitive"),
+        "t_on_half": RampSchedule.for_params(params, t_on=period / 2),
+        "t_on_1.5": RampSchedule.for_params(params, t_on=1.5 * period),
+        "finite_t_off": RampSchedule.for_params(params, t_off=3.3 * period),
+        "upload_past_scan": RampSchedule.for_params(params, t_on=5.5 * period),
+    }[case]
+
+
+class TestFidelityScanPropagator:
+    """The one-period propagator path against direct integration (the oracle)."""
+
+    @pytest.mark.parametrize("case, n_periods, periodic", [
+        ("default", 8, True),
+        ("counterintuitive", 6, True),
+        ("t_on_half", 6, True),
+        ("t_on_1.5", 6, True),
+        ("finite_t_off", 6, False),
+        ("upload_past_scan", 6, False),
+    ])
+    def test_matches_direct_integration(self, params_a, reference_rates, case, n_periods,
+                                        periodic):
+        schedule = scan_schedule(params_a, case)
+        scan = fidelity_scan(params_a, reference_rates, n_periods=n_periods, schedule=schedule)
+        expected = direct_f2(params_a, reference_rates, schedule, n_periods)
+        assert np.max(np.abs(scan["F2"] - expected)) <= 1e-10
+        assert scan["F"][0] == 1.0
+        np.testing.assert_array_equal(scan["t"], params_a.period * np.arange(n_periods + 1))
+        if periodic:
+            assert scan["lambda2"] < 1e-6
+            assert scan["fixed_rho11"] == pytest.approx(scan["F2"][-1], abs=1e-9)
+        else:
+            assert math.isnan(scan["lambda2"]) and math.isnan(scan["fixed_rho11"])
+
+    def test_closed_system_diagnostics(self, params_a):
+        # a unitary one-period map: every eigenvalue has modulus 1, and nothing
+        # damps the 1e-9 step-control error of either path, so they agree to 1e-8
+        none = DecoherenceRates.none()
+        scan = fidelity_scan(params_a, none, n_periods=3)
+        assert scan["lambda2"] == pytest.approx(1.0, abs=1e-6)
+        assert math.isnan(scan["fixed_rho11"])  # not unique
+        expected = direct_f2(params_a, none, RampSchedule.for_params(params_a), 3)
+        assert np.max(np.abs(scan["F2"] - expected)) <= 1e-8
+
+    def test_fixed_step_integrates_directly(self, params_a, reference_rates):
+        # the propagator needs an adaptive method, so rk4-fixed scans every period
+        scan = fidelity_scan(params_a, reference_rates,
+                             IntegratorConfig(method="rk4-fixed", step=0.5), n_periods=3)
+        assert math.isnan(scan["lambda2"])
+        expected = direct_f2(params_a, reference_rates, RampSchedule.for_params(params_a), 3)
+        assert np.max(np.abs(scan["F2"] - expected)) <= 1e-4
+
+    def test_rejects_period_count_before_integrating(self, params_a, reference_rates):
+        with pytest.raises(ValidationError, match="n_periods"):
+            fidelity_scan(params_a, reference_rates, n_periods=2_000_000)
+        with pytest.raises(ValidationError, match="n_periods"):
+            fidelity_scan(params_a, reference_rates, n_periods=0)
